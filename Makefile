@@ -13,7 +13,7 @@ BENCH_JSON ?= BENCH_pr10.json
 # breaks inference or the episode loop fails the build.
 SMOKEBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8|InferToExit3Int8Fast|IncrementalResume|FullSimulationEpisode)$$
 
-.PHONY: all build test race bench bench-smoke bench-json artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
+.PHONY: all build test test-cpu race bench bench-smoke bench-json artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
 
 all: build
 
@@ -24,6 +24,16 @@ build:
 ## test: run the full test suite
 test:
 	$(GO) test ./...
+
+## test-cpu: run the packages that fan work out across goroutines at
+## one and four cores, so a test that only passes on a 1-core box (or
+## only on a many-core one) fails here. One process per core count:
+## the registry tests register process-global names, so a single
+## -cpu=1,4 run would fail them on the second pass for that reason alone.
+CPU_PKGS = ./internal/plan ./internal/batch ./internal/fleet ./internal/exper ./internal/serve
+test-cpu:
+	$(GO) test -cpu=1 $(CPU_PKGS)
+	$(GO) test -cpu=4 $(CPU_PKGS)
 
 ## race: run the full test suite under the race detector
 race:
@@ -66,14 +76,11 @@ infer-smoke:
 ## document is byte-identical to an uninterrupted run's — the
 ## crash-recovery gate
 crash-smoke:
-	./scripts/crash_smoke.sh
+	./scripts/crash_smoke.sh grid
 
-## fleet-smoke: SIGKILL the real ehserved daemon mid-fleet-job, restart
-## it on the same -data-dir, and assert the resumed fleet's final result
-## document is byte-identical to an uninterrupted run's — the fleet
-## crash-recovery gate
+## fleet-smoke: the same crash-recovery gate for a fleet job
 fleet-smoke:
-	./scripts/fleet_smoke.sh
+	./scripts/crash_smoke.sh fleet
 
 ## chaos-soak: hammer a server armed with a seeded fault-injection spec
 ## for 30 wall-clock seconds under the race detector; every response
@@ -116,7 +123,7 @@ staticcheck:
 	staticcheck ./...
 
 ## ci: everything the CI workflow gates on
-ci: fmt-check lint build race bench artifact-check infer-smoke crash-smoke fleet-smoke
+ci: fmt-check lint build test-cpu race bench artifact-check infer-smoke crash-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

@@ -51,8 +51,10 @@
 //     alongside the experiment engine's deployment cache;
 //
 //   - the HTTP serving layer (internal/serve, cmd/ehserved): submit
-//     declarative GridSpecs, poll progress, stream per-point results as
-//     NDJSON, fetch deterministic final reports, upload/download
+//     declarative GridSpecs and FleetSpecs as jobs on one job model
+//     (per-kind ids and retention, one journal/resume protocol), poll
+//     progress, stream per-item results as NDJSON, fetch deterministic
+//     final reports, upload/download
 //     deployment artifacts, with graceful shutdown; every request runs
 //     through one middleware chain — panic recovery, request-ID
 //     injection, structured slog request logging, metrics, per-client
@@ -141,10 +143,9 @@
 // incrementally (see README for the migration table).
 //
 // The bench suite in bench_test.go regenerates every figure of the
-// paper's evaluation; see EXPERIMENTS.md for paper-vs-measured values
-// and DESIGN.md for the system inventory and the documented
-// substitutions (synthetic dataset, synthetic solar trace, calibrated
-// accuracy surrogate).
+// paper's evaluation. The reproduction substitutes a synthetic dataset,
+// a synthetic solar trace, and a calibrated accuracy surrogate for the
+// paper's CIFAR-10 data, measured traces, and trained networks.
 //
 // # Quickstart
 //

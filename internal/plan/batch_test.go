@@ -112,7 +112,25 @@ func assertStatesEqual(t *testing.T, got, want *State, ctx string) {
 
 // TestScanExits checks the serving walk: logits surfaced at every exit
 // match direct single-image inference to that exit, for every image.
+// visit runs concurrently across lanes, so the callback only copies into
+// its own preallocated (exit, img) slot and all comparison happens after
+// ScanExits returns. The forced multi-lane case keeps a 1-core host from
+// hiding a racy callback.
 func TestScanExits(t *testing.T) {
+	for _, lanes := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			if lanes > 0 {
+				prev := tensor.SetWorkers(lanes)
+				defer tensor.SetWorkers(prev)
+			}
+			testScanExits(t, lanes)
+		})
+	}
+}
+
+// testScanExits runs one ScanExits pass; lanes 0 keeps the host's
+// default worker count.
+func testScanExits(t *testing.T, lanes int) {
 	net := multiexit.LeNetEE(tensor.NewRNG(3))
 	geom, _ := InferGeometry(net)
 	p, err := Compile(net, geom)
@@ -124,22 +142,38 @@ func TestScanExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, ref := p.NewExec(), p.NewState()
+	if lanes > 1 && be.Lanes() < 2 {
+		t.Fatalf("forced %d workers but the executor has %d lane(s)", lanes, be.Lanes())
+	}
 	imgs := rawImages(n, 9)
 	tensors := testImages(n, 9)
 
-	visited := make(map[[2]int]bool)
-	be.ScanExits(imgs, net.NumExits()-1, func(exit, img int, logits []float32) {
-		visited[[2]int{exit, img}] = true
-		ex.InferTo(ref, tensors[img], exit)
-		for i, v := range logits {
-			if v != ref.Logits()[i] {
-				t.Fatalf("exit %d img %d: logit[%d] = %x, want %x", exit, img, i, v, ref.Logits()[i])
+	exits := net.NumExits()
+	slots := make([][][]float32, exits) // [exit][img] copied logits; nil = never visited
+	for e := range slots {
+		slots[e] = make([][]float32, n)
+	}
+	be.ScanExits(imgs, exits-1, func(exit, img int, logits []float32) {
+		slots[exit][img] = append([]float32(nil), logits...)
+	})
+
+	ex, ref := p.NewExec(), p.NewState()
+	for exit := 0; exit < exits; exit++ {
+		for img := 0; img < n; img++ {
+			got := slots[exit][img]
+			if got == nil {
+				t.Fatalf("exit %d img %d never visited", exit, img)
+			}
+			ex.InferTo(ref, tensors[img], exit)
+			if len(got) != len(ref.Logits()) {
+				t.Fatalf("exit %d img %d: %d logits, want %d", exit, img, len(got), len(ref.Logits()))
+			}
+			for i, v := range got {
+				if v != ref.Logits()[i] {
+					t.Fatalf("exit %d img %d: logit[%d] = %x, want %x", exit, img, i, v, ref.Logits()[i])
+				}
 			}
 		}
-	})
-	if len(visited) != n*net.NumExits() {
-		t.Fatalf("visited %d (exit, img) pairs, want %d", len(visited), n*net.NumExits())
 	}
 }
 

@@ -31,7 +31,7 @@ func getJSON(t *testing.T, url string) map[string]any {
 // result document.
 func waitForResults(t *testing.T, base, id string) map[string]any {
 	t.Helper()
-	waitState(t, base, id, StateDone)
+	gridCase.wait(t, base, id, StateDone)
 	return getJSON(t, base+"/v1/grids/"+id+"/results")
 }
 

@@ -38,37 +38,6 @@ const slowFleetSpec = `{
 	]
 }`
 
-func getFleetStatus(t *testing.T, base, id string) JobStatus {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/fleets/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-func waitFleetState(t *testing.T, base, id string, want JobState) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		st := getFleetStatus(t, base, id)
-		if st.State == want {
-			return st
-		}
-		if st.State != StateRunning && want != st.State {
-			t.Fatalf("fleet %s reached terminal state %q while waiting for %q (err: %s)", id, st.State, want, st.Err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("fleet %s never reached state %q", id, want)
-	return JobStatus{}
-}
-
 // directFleetRun executes the spec straight on the engine — the
 // reference bytes the HTTP layer must reproduce.
 func directFleetRun(t *testing.T, specJSON string) []byte {
@@ -106,7 +75,7 @@ func TestServeFleetEndToEnd(t *testing.T) {
 	if sub["devices"].(float64) != 40 {
 		t.Fatalf("submit reported %v devices, want 40", sub["devices"])
 	}
-	waitFleetState(t, ts.URL, id, StateDone)
+	fleetCase.wait(t, ts.URL, id, StateDone)
 
 	code, got := getBody(t, ts.URL+"/v1/fleets/"+id+"/results")
 	if code != http.StatusOK {
@@ -118,7 +87,7 @@ func TestServeFleetEndToEnd(t *testing.T) {
 	}
 
 	// Status and the fleet listing agree the run is done.
-	st := getFleetStatus(t, ts.URL, id)
+	st := fleetCase.status(t, ts.URL, id)
 	if st.Completed != st.Total || st.Total != 4 {
 		t.Fatalf("status counts wrong: %+v", st)
 	}
@@ -209,7 +178,7 @@ func TestServeFleetCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel status %d", resp.StatusCode)
 	}
-	st := waitFleetState(t, ts.URL, id, StateCanceled)
+	st := fleetCase.wait(t, ts.URL, id, StateCanceled)
 	if st.Completed >= st.Total {
 		t.Fatalf("canceled fleet claims completion: %+v", st)
 	}
@@ -243,8 +212,8 @@ func TestServeJobsUnified(t *testing.T) {
 	_, ts := newTestServer(t, 2)
 	gid := postJSON(t, ts.URL+"/v1/grids", fastSpec)["id"].(string)
 	fid := postJSON(t, ts.URL+"/v1/fleets", fastFleetSpec)["id"].(string)
-	waitState(t, ts.URL, gid, StateDone)
-	waitFleetState(t, ts.URL, fid, StateDone)
+	gridCase.wait(t, ts.URL, gid, StateDone)
+	fleetCase.wait(t, ts.URL, fid, StateDone)
 
 	code, body := getBody(t, ts.URL+"/v1/jobs")
 	if code != http.StatusOK {
@@ -286,7 +255,7 @@ func TestFleetResumesAcrossRestart(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := getFleetStatus(t, ts.URL, id)
+		st := fleetCase.status(t, ts.URL, id)
 		if st.Completed >= 1 && st.State == StateRunning {
 			break
 		}
@@ -302,11 +271,11 @@ func TestFleetResumesAcrossRestart(t *testing.T) {
 
 	sv2, ts2 := durableServer(t, dir, 1)
 	defer shutdownServer(t, sv2, ts2)
-	st := getFleetStatus(t, ts2.URL, id)
+	st := fleetCase.status(t, ts2.URL, id)
 	if st.State != StateRunning && st.State != StateDone {
 		t.Fatalf("resumed fleet state = %q (err %s)", st.State, st.Err)
 	}
-	waitFleetState(t, ts2.URL, id, StateDone)
+	fleetCase.wait(t, ts2.URL, id, StateDone)
 	code, got := getBody(t, ts2.URL+"/v1/fleets/"+id+"/results")
 	if code != http.StatusOK {
 		t.Fatalf("resumed results: %d", code)
@@ -327,7 +296,7 @@ func TestFleetResumesAcrossRestart(t *testing.T) {
 	shutdownServer(t, sv2, ts2)
 	sv3, ts3 := durableServer(t, dir, 1)
 	defer shutdownServer(t, sv3, ts3)
-	if st := getFleetStatus(t, ts3.URL, id); st.State != StateDone {
+	if st := fleetCase.status(t, ts3.URL, id); st.State != StateDone {
 		t.Fatalf("third boot fleet state = %q", st.State)
 	}
 	_, got3 := getBody(t, ts3.URL+"/v1/fleets/"+id+"/results")
@@ -349,7 +318,7 @@ func TestCanceledFleetNotResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitFleetState(t, ts.URL, id, StateCanceled)
+	fleetCase.wait(t, ts.URL, id, StateCanceled)
 	shutdownServer(t, sv, ts)
 
 	sv2, ts2 := durableServer(t, dir, 1)

@@ -100,16 +100,8 @@ func (sv *Server) initMetrics() {
 		sv.reg.SetHelp(m.name, m.kind, m.help)
 	}
 	sv.reg.Gauge(mStartTime).Set(float64(sv.started.UnixNano()) / 1e9)
-	sv.reg.GaugeFunc(mGridJobs, func() float64 {
-		sv.mu.Lock()
-		defer sv.mu.Unlock()
-		return float64(len(sv.jobs))
-	})
-	sv.reg.GaugeFunc(mFleetJobs, func() float64 {
-		sv.mu.Lock()
-		defer sv.mu.Unlock()
-		return float64(len(sv.fleets))
-	})
+	sv.reg.GaugeFunc(mGridJobs, sv.jobCount(sv.grids))
+	sv.reg.GaugeFunc(mFleetJobs, sv.jobCount(sv.fleets))
 	sv.reg.GaugeFunc(mArtifacts, func() float64 {
 		sv.mu.Lock()
 		defer sv.mu.Unlock()
@@ -222,7 +214,7 @@ func (sv *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, tgt := range sv.infers {
 		targets = append(targets, tgt)
 	}
-	jobs := len(sv.jobs)
+	jobs := len(sv.grids.jobs)
 	sv.mu.Unlock()
 
 	infer := make(map[string]inferStatus, len(targets))

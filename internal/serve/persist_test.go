@@ -144,36 +144,6 @@ func TestQuarantinedArtifactNotServed(t *testing.T) {
 	}
 }
 
-// TestFinishedJobRestoredAcrossRestart: a finished grid job's final
-// document survives a restart byte-identically, and its status reads
-// done.
-func TestFinishedJobRestoredAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	sv, ts := durableServer(t, dir, 2)
-	sub := postJSON(t, ts.URL+"/v1/grids", fastSpec)
-	id := sub["id"].(string)
-	waitState(t, ts.URL, id, StateDone)
-	code, want := getBody(t, ts.URL+"/v1/grids/"+id+"/results")
-	if code != http.StatusOK {
-		t.Fatalf("results before restart: %d", code)
-	}
-	shutdownServer(t, sv, ts)
-
-	sv2, ts2 := durableServer(t, dir, 2)
-	defer shutdownServer(t, sv2, ts2)
-	st := getStatus(t, ts2.URL, id)
-	if st.State != StateDone {
-		t.Fatalf("restored job state = %q, want done", st.State)
-	}
-	code, got := getBody(t, ts2.URL+"/v1/grids/"+id+"/results")
-	if code != http.StatusOK {
-		t.Fatalf("results after restart: %d", code)
-	}
-	if got != want {
-		t.Fatalf("final document changed across restart:\nbefore: %s\nafter:  %s", want, got)
-	}
-}
-
 // TestUnfinishedJobResumesAcrossRestart is the crash-recovery
 // centerpiece: a job interrupted mid-run by shutdown resumes on the
 // next boot from its journal — restored points are not re-run — and the
@@ -186,7 +156,7 @@ func TestUnfinishedJobResumesAcrossRestart(t *testing.T) {
 	_, ref := newTestServer(t, 1)
 	refSub := postJSON(t, ref.URL+"/v1/grids", slowSpec)
 	refID := refSub["id"].(string)
-	waitState(t, ref.URL, refID, StateDone)
+	gridCase.wait(t, ref.URL, refID, StateDone)
 	_, want := getBody(t, ref.URL+"/v1/grids/"+refID+"/results")
 
 	dir := t.TempDir()
@@ -198,7 +168,7 @@ func TestUnfinishedJobResumesAcrossRestart(t *testing.T) {
 	// done, then stop the server mid-job.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := getStatus(t, ts.URL, id)
+		st := gridCase.status(t, ts.URL, id)
 		if st.Completed >= 1 && st.State == StateRunning {
 			break
 		}
@@ -214,11 +184,11 @@ func TestUnfinishedJobResumesAcrossRestart(t *testing.T) {
 
 	sv2, ts2 := durableServer(t, dir, 1)
 	defer shutdownServer(t, sv2, ts2)
-	st := getStatus(t, ts2.URL, id)
+	st := gridCase.status(t, ts2.URL, id)
 	if st.State != StateRunning && st.State != StateDone {
 		t.Fatalf("resumed job state = %q (err %s)", st.State, st.Err)
 	}
-	waitState(t, ts2.URL, id, StateDone)
+	gridCase.wait(t, ts2.URL, id, StateDone)
 	code, got := getBody(t, ts2.URL+"/v1/grids/"+id+"/results")
 	if code != http.StatusOK {
 		t.Fatalf("resumed results: %d", code)
@@ -239,7 +209,7 @@ func TestUnfinishedJobResumesAcrossRestart(t *testing.T) {
 	shutdownServer(t, sv2, ts2)
 	sv3, ts3 := durableServer(t, dir, 1)
 	defer shutdownServer(t, sv3, ts3)
-	if st := getStatus(t, ts3.URL, id); st.State != StateDone {
+	if st := gridCase.status(t, ts3.URL, id); st.State != StateDone {
 		t.Fatalf("third boot job state = %q", st.State)
 	}
 	_, got3 := getBody(t, ts3.URL+"/v1/grids/"+id+"/results")
@@ -261,7 +231,7 @@ func TestCanceledJobNotResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitState(t, ts.URL, id, StateCanceled)
+	gridCase.wait(t, ts.URL, id, StateCanceled)
 	shutdownServer(t, sv, ts)
 
 	sv2, ts2 := durableServer(t, dir, 1)

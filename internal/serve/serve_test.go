@@ -66,37 +66,6 @@ func postJSON(t *testing.T, url, body string) map[string]any {
 	return out
 }
 
-func getStatus(t *testing.T, base, id string) JobStatus {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/grids/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-func waitState(t *testing.T, base, id string, want JobState) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		st := getStatus(t, base, id)
-		if st.State == want {
-			return st
-		}
-		if st.State != StateRunning && want != st.State {
-			t.Fatalf("job %s reached terminal state %q while waiting for %q (err: %s)", id, st.State, want, st.Err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("job %s never reached state %q", id, want)
-	return JobStatus{}
-}
-
 // TestServeGridEndToEnd drives the full submit → poll → fetch flow and
 // pins that the served result bytes equal a direct Session run of the
 // same spec — the HTTP layer adds transport, not semantics.
@@ -112,7 +81,7 @@ func TestServeGridEndToEnd(t *testing.T) {
 		t.Fatalf("want 4 points, got %v", sub["points"])
 	}
 
-	st := waitState(t, ts.URL, id, StateDone)
+	st := gridCase.wait(t, ts.URL, id, StateDone)
 	if st.Completed != 4 || st.Total != 4 {
 		t.Fatalf("done job reports %d/%d", st.Completed, st.Total)
 	}
@@ -211,7 +180,7 @@ func TestServeStreamingSubmitCancelAbortsWorkers(t *testing.T) {
 	start := time.Now()
 	cancel()
 
-	st := waitState(t, ts.URL, "g1", StateCanceled)
+	st := gridCase.wait(t, ts.URL, "g1", StateCanceled)
 	if st.Completed >= st.Total {
 		t.Fatalf("grid finished despite cancellation: %+v", st)
 	}
@@ -239,7 +208,7 @@ func TestServeDeleteCancelsJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE: %d", resp.StatusCode)
 	}
-	st := waitState(t, ts.URL, id, StateCanceled)
+	st := gridCase.wait(t, ts.URL, id, StateCanceled)
 	if st.Completed >= st.Total {
 		t.Fatalf("grid finished despite DELETE: %+v", st)
 	}
@@ -268,62 +237,5 @@ func TestServeRejectsBadInput(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: want 404, got %d", resp.StatusCode)
-	}
-}
-
-// TestServeResultsConflictWhileRunning: the aggregated-results endpoint
-// refuses mid-run fetches with 409 and points at the streaming view.
-func TestServeResultsConflictWhileRunning(t *testing.T) {
-	_, ts := newTestServer(t, 1)
-	sub := postJSON(t, ts.URL+"/v1/grids", slowSpec)
-	id := sub["id"].(string)
-
-	resp, err := http.Get(ts.URL + "/v1/grids/" + id + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("mid-run results fetch: want 409, got %d", resp.StatusCode)
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/grids/"+id, nil)
-	if dresp, err := http.DefaultClient.Do(req); err == nil {
-		dresp.Body.Close()
-	}
-	waitState(t, ts.URL, id, StateCanceled)
-}
-
-// TestServeShutdownCancelsJobs: graceful shutdown aborts running grids
-// and drains within the deadline.
-func TestServeShutdownCancelsJobs(t *testing.T) {
-	sv := New(WithSession(ehinfer.NewSession(ehinfer.WithWorkers(1))))
-	ts := httptest.NewServer(sv)
-	defer ts.Close()
-
-	sub := postJSON(t, ts.URL+"/v1/grids", slowSpec)
-	id := sub["id"].(string)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := sv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown did not drain: %v", err)
-	}
-	j := sv.lookup(id)
-	if j == nil {
-		t.Fatal("job vanished")
-	}
-	if _, state := j.finalResult(); state != StateCanceled && state != StateDone {
-		t.Fatalf("after shutdown job is %q", state)
-	}
-
-	// New submissions are refused once shut down.
-	resp, err := http.Post(ts.URL+"/v1/grids", "application/json", strings.NewReader(fastSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown submit: want 503, got %d", resp.StatusCode)
 	}
 }
