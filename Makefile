@@ -27,13 +27,11 @@ test:
 
 ## test-cpu: run the packages that fan work out across goroutines at
 ## one and four cores, so a test that only passes on a 1-core box (or
-## only on a many-core one) fails here. One process per core count:
-## the registry tests register process-global names, so a single
-## -cpu=1,4 run would fail them on the second pass for that reason alone.
+## only on a many-core one) fails here. Both passes share one process,
+## so this also catches a test that cannot run twice.
 CPU_PKGS = ./internal/plan ./internal/batch ./internal/fleet ./internal/exper ./internal/serve
 test-cpu:
-	$(GO) test -cpu=1 $(CPU_PKGS)
-	$(GO) test -cpu=4 $(CPU_PKGS)
+	$(GO) test -cpu=1,4 $(CPU_PKGS)
 
 ## race: run the full test suite under the race detector
 race:

@@ -1,7 +1,7 @@
 package ehinfer
 
-// Ablation benches for the design choices DESIGN.md calls out: exit-
-// guided nonuniform compression, incremental inference, learned exit
+// Ablation benches for the system's main design choices: exit-guided
+// nonuniform compression, incremental inference, learned exit
 // selection, and the choice of search algorithm.
 
 import (

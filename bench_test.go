@@ -2,12 +2,12 @@ package ehinfer
 
 // This file is the paper-reproduction bench harness: one benchmark per
 // table/figure of the evaluation (§V), each printing a paper-vs-measured
-// comparison, plus ablation benches for the design choices DESIGN.md
-// calls out and micro-benchmarks for the hot kernels. Run with
+// comparison, plus ablation benches for the system's main design
+// choices and micro-benchmarks for the hot kernels. Run with
 //
 //	go test -bench=. -benchmem
 //
-// EXPERIMENTS.md records the outputs.
+// and read the paper-vs-measured lines each benchmark prints.
 
 import (
 	"fmt"

@@ -28,9 +28,11 @@
 // Uploaded artifacts (and registered deployments) also serve online
 // inference: POST an image (or a small batch) to /v1/infer and get the
 // predicted class, the exit taken, and the per-exit confidence profile
-// back. Requests are micro-batched per model — held up to -batch-window
-// for company, dispatched at -max-batch — with bounded queues that shed
-// load as 429 once -queue-cap requests are waiting. A request may name
+// back. Requests are micro-batched per model: each model's worker
+// dispatches as soon as it is idle, taking every request already queued
+// (up to -max-batch), so a lone request never waits for company and
+// batches form under load. Queues are bounded and shed load as 429
+// once -queue-cap requests are waiting. A request may name
 // its inference backend ("plan", "legacy", "int8", or the packed-weight
 // "int8fast" fast path); each (model, backend) pair is served as its
 // own target with its own compiled plan, queue, breaker, and metrics:
@@ -82,7 +84,7 @@
 // Usage:
 //
 //	ehserved [-addr :8080] [-workers N] [-seed N] [-data-dir DIR]
-//	         [-max-batch N] [-batch-window D] [-queue-cap N]
+//	         [-max-batch N] [-queue-cap N]
 //	         [-rate RPS] [-burst N] [-request-timeout D]
 //	         [-max-inflight N] [-shed-latency D]
 //	         [-breaker-threshold N] [-breaker-cooldown D]
@@ -112,16 +114,15 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "session worker goroutines (0 = all cores)")
-		seed        = flag.Uint64("seed", 42, "session base seed")
-		maxBatch    = flag.Int("max-batch", 0, "largest /v1/infer micro-batch per model (0 = default 8)")
-		batchWindow = flag.Duration("batch-window", 0, "how long an under-full micro-batch waits for company (0 = default 2ms, negative = dispatch immediately)")
-		queueCap    = flag.Int("queue-cap", 0, "per-model pending-request bound before 429 (0 = default 256)")
-		rate        = flag.Float64("rate", 0, "per-client request rate on /v1/ routes, tokens/second (0 = unlimited)")
-		burst       = flag.Int("burst", 0, "per-client burst size when -rate is set (0 = ceil(rate))")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		logLevel    = flag.String("log-level", "info", "request log level: debug, info, warn, error")
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("workers", 0, "session worker goroutines (0 = all cores)")
+		seed     = flag.Uint64("seed", 42, "session base seed")
+		maxBatch = flag.Int("max-batch", 0, "largest /v1/infer micro-batch per model (0 = default 8)")
+		queueCap = flag.Int("queue-cap", 0, "per-model pending-request bound before 429 (0 = default 256)")
+		rate     = flag.Float64("rate", 0, "per-client request rate on /v1/ routes, tokens/second (0 = unlimited)")
+		burst    = flag.Int("burst", 0, "per-client burst size when -rate is set (0 = ceil(rate))")
+		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		logLevel = flag.String("log-level", "info", "request log level: debug, info, warn, error")
 
 		dataDir      = flag.String("data-dir", "", "durable data directory: artifacts persist and grid jobs resume across restarts (empty = in-memory only)")
 		chaosSpec    = flag.String("chaos-spec", "", `deterministic fault injection spec, e.g. "seed=7;error:http./v1/infer:p=0.01;latency:store:p=0.1,d=20ms"`)
@@ -162,7 +163,6 @@ func main() {
 		serve.WithSession(session),
 		serve.WithBatchConfig(batch.Config{
 			MaxBatch: *maxBatch,
-			Window:   *batchWindow,
 			QueueCap: *queueCap,
 		}),
 		serve.WithRateLimit(*rate, b),

@@ -1,7 +1,7 @@
 // Command paperbench regenerates every table and figure of the paper's
 // evaluation (§V) in one run, printing paper-vs-measured values. It is
-// the CLI twin of the bench_test.go harness; EXPERIMENTS.md is written
-// from this output. Everything runs through one Session — the Fig. 5 /
+// the CLI twin of the bench_test.go harness. Everything runs through
+// one Session — the Fig. 5 /
 // §V-D system comparison on the canonical paper grid (ehinfer.
 // PaperCompareGrid), the search and Fig. 7 experiments through the
 // session's context-aware methods — so Ctrl-C cancels cleanly between

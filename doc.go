@@ -81,9 +81,10 @@
 //
 //   - online inference serving (internal/batch, POST /v1/infer):
 //     requests against an uploaded artifact or registered deployment
-//     are micro-batched per model — a bounded queue accumulates them up
-//     to a batch-size/latency-window bound, sheds overload as 429, and
-//     drains cleanly on shutdown — and execute on a batched plan
+//     are micro-batched per model — a bounded, work-conserving queue
+//     dispatches whatever is waiting as soon as its worker is idle (up
+//     to a batch-size bound), sheds overload as 429, and drains
+//     cleanly on shutdown — and execute on a batched plan
 //     executor (plan.BatchExec) whose per-image float32 output is
 //     bit-identical to the single-image plan; Session.Infer and
 //     Session.InferBatch expose the same path in-process, returning the

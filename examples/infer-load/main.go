@@ -29,12 +29,11 @@ const (
 )
 
 func main() {
-	// 1. A serving session and the HTTP surface, tuned for visible
-	//    micro-batching: up to 8 images per dispatch, a 5ms window.
+	// 1. A serving session and the HTTP surface: up to 8 images per
+	//    dispatch, at most 64 waiting before the server sheds load.
 	session := ehinfer.NewSession(ehinfer.WithWorkers(1))
 	sv := serve.New(serve.WithSession(session), serve.WithBatchConfig(batch.Config{
 		MaxBatch: 8,
-		Window:   5 * time.Millisecond,
 		QueueCap: 64,
 	}))
 	ts := httptest.NewServer(sv)
@@ -72,7 +71,8 @@ func main() {
 
 	// 3. The swarm: concurrent clients each post a stream of single-image
 	//    requests. Concurrency is what the micro-batcher feeds on — the
-	//    server coalesces requests that arrive within one window. Each
+	//    requests that arrive while a batch computes leave together in
+	//    the next dispatch. Each
 	//    client retries transient sheds (429/503) through serve.Backoff —
 	//    capped exponential delays with per-client deterministic jitter,
 	//    honoring the server's Retry-After hints — so shed load re-offers

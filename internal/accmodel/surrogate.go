@@ -3,8 +3,8 @@
 //
 // The paper evaluates each candidate compression policy by measuring exit
 // accuracies on a representative dataset — 6 GPU-hours per search. In
-// this offline, CPU-only reproduction we substitute a surrogate (see
-// DESIGN.md §2): per-exit accuracy is modelled as the full-precision
+// this offline, CPU-only reproduction we substitute a surrogate:
+// per-exit accuracy is modelled as the full-precision
 // accuracy attenuated by per-layer degradation factors,
 //
 //	Acc_i(policy) = AccFull_i · Π_{l ∈ path(i)} (1 − D_l)

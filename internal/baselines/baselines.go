@@ -65,8 +65,9 @@ func SpArSeNet() Baseline {
 // LeNetCifar returns the hand-designed LeNet baseline: classic LeNet-5
 // with a 3-channel 32×32 input, whose MAC count is 651,720 (the paper
 // does not state it; this is the architecture's own cost — conv 3→6 5×5,
-// pool, conv 6→16 5×5, pool, FC 400→120→84→10). EXPERIMENTS.md discusses
-// how this reconciles with the paper's latency ratios.
+// pool, conv 6→16 5×5, pool, FC 400→120→84→10). Because the paper
+// gives no count, latency ratios against this baseline need not match
+// the paper's exactly.
 func LeNetCifar() Baseline {
 	return Baseline{
 		Name:              "LeNet-Cifar",

@@ -6,9 +6,9 @@
 //
 // The split mirrors the rest of the system: Model is pure execution —
 // deterministic, synchronous, one micro-batch at a time — while Queue
-// owns the concurrency policy (latency window, batch bound, overflow,
-// drain). The serving layer composes one Queue per uploaded artifact or
-// registered deployment.
+// owns the concurrency policy (work-conserving dispatch, batch bound,
+// overflow, drain). The serving layer composes one Queue per uploaded
+// artifact or registered deployment.
 package batch
 
 import (

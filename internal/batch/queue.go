@@ -18,15 +18,11 @@ type Inferer interface {
 	InferBatch(reqs []Req) []Prediction
 }
 
-// Config tunes a queue's micro-batching policy.
+// Config bounds a queue's batches and backlog. Batch size itself
+// follows load (see Queue).
 type Config struct {
 	// MaxBatch is the most requests one dispatch carries (default 8).
 	MaxBatch int
-	// Window is how long the dispatcher holds an under-full batch open
-	// waiting for company (default 2ms). Larger windows trade tail
-	// latency for bigger batches; zero keeps the default, negative
-	// dispatches immediately (degenerate per-request batches).
-	Window time.Duration
 	// QueueCap bounds the requests waiting to be dispatched (default
 	// 256). At the bound Submit fails fast with ErrQueueFull — the
 	// backpressure signal the HTTP layer turns into 429.
@@ -77,9 +73,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
-	if c.Window == 0 {
-		c.Window = 2 * time.Millisecond
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
 	}
@@ -106,12 +99,16 @@ var (
 // estimator keeps.
 const latencyRing = 1024
 
-// Queue accumulates inference requests into micro-batches: a dispatch
-// fires as soon as MaxBatch requests are waiting, or Window after the
-// first request of an under-full batch arrived. One worker goroutine
-// owns dispatch order, so a queue never runs its Inferer concurrently
-// with itself (concurrency across models comes from one queue per
-// model). Submit is safe for any number of concurrent callers.
+// Queue accumulates inference requests into micro-batches and is
+// work-conserving: whenever its worker is idle and a request is waiting,
+// it dispatches at once, taking along whatever else is already queued
+// (up to MaxBatch). It never holds a request back to wait for company.
+// Requests that arrive while a batch computes queue up and leave
+// together in the next dispatch, so batches grow with load and a lone
+// request is a batch of one. One worker goroutine owns dispatch order,
+// so a queue never runs its Inferer concurrently with itself
+// (concurrency across models comes from one queue per model). Submit is
+// safe for any number of concurrent callers.
 type Queue struct {
 	inf Inferer
 	cfg Config
@@ -139,6 +136,7 @@ type Queue struct {
 	// the worker goroutine touches these, and noteBatch copies latsBuf
 	// into the ring before the next dispatch reuses it, so per-batch
 	// reslicing is safe and the dispatch path stays allocation-free.
+	liveBuf []*pending
 	reqsBuf []Req
 	latsBuf []time.Duration
 }
@@ -173,6 +171,7 @@ func NewQueue(inf Inferer, cfg Config) *Queue {
 		done:    make(chan struct{}),
 		started: time.Now(),
 		lats:    make([]time.Duration, 0, latencyRing),
+		liveBuf: make([]*pending, 0, cfg.MaxBatch),
 		reqsBuf: make([]Req, 0, cfg.MaxBatch),
 		latsBuf: make([]time.Duration, 0, cfg.MaxBatch),
 	}
@@ -186,8 +185,8 @@ type Ticket struct {
 }
 
 // Enqueue admits a request without waiting for the result, so a
-// multi-input HTTP request can queue all its inputs into the same
-// micro-batching window before collecting. Fails fast with ErrQueueFull
+// multi-input HTTP request can queue all its inputs before collecting
+// and they can leave in the same dispatch. Fails fast with ErrQueueFull
 // at the bound and ErrClosed after Close. ctx cancellation after
 // admission makes the dispatcher skip the request.
 func (q *Queue) Enqueue(ctx context.Context, r Req) (*Ticket, error) {
@@ -251,131 +250,91 @@ func (q *Queue) Close(ctx context.Context) error {
 	}
 }
 
-// worker is the dispatch loop: collect a batch, execute, repeat; on
-// stop, drain whatever is left.
+// worker is the dispatch loop: block for a request, take whatever else
+// is already queued, execute, repeat; on stop, drain what is left.
 func (q *Queue) worker() {
 	defer close(q.done)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	batch := make([]*pending, 0, q.cfg.MaxBatch)
 	for {
-		// Block for the batch's first request.
-		var first *pending
 		select {
-		case first = <-q.ch:
+		case p := <-q.ch:
+			batch = q.fill(append(batch[:0], p))
+			q.dispatch(batch)
 		case <-q.stop:
-			q.drain(batch[:0])
+			// Admissions are closed: answer every request still queued,
+			// in arrival order, in micro-batches.
+			for batch = q.fill(batch[:0]); len(batch) > 0; batch = q.fill(batch[:0]) {
+				q.dispatch(batch)
+			}
 			return
-		}
-		batch = append(batch[:0], first)
-
-		// Gather until full, the window closes, or shutdown.
-		if q.cfg.Window > 0 {
-			timer.Reset(q.cfg.Window)
-		gather:
-			for len(batch) < q.cfg.MaxBatch {
-				select {
-				case p := <-q.ch:
-					batch = append(batch, p)
-				case <-timer.C:
-					break gather
-				case <-q.stop:
-					break gather
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		} else {
-			// Immediate mode still fills from whatever already queued.
-		fill:
-			for len(batch) < q.cfg.MaxBatch {
-				select {
-				case p := <-q.ch:
-					batch = append(batch, p)
-				default:
-					break fill
-				}
-			}
-		}
-		q.dispatch(batch)
-		select {
-		case <-q.stop:
-			q.drain(batch[:0])
-			return
-		default:
 		}
 	}
 }
 
-// drain answers every request still queued at shutdown, in arrival
-// order, in micro-batches.
+// fill tops batch up to MaxBatch from the requests already queued,
+// without waiting for more.
 //
 //ehlint:hotpath
-func (q *Queue) drain(batch []*pending) {
-	for {
+func (q *Queue) fill(batch []*pending) []*pending {
+	for len(batch) < q.cfg.MaxBatch {
 		select {
 		case p := <-q.ch:
 			batch = append(batch, p)
-			if len(batch) == q.cfg.MaxBatch {
-				q.dispatch(batch)
-				batch = batch[:0]
-			}
 		default:
-			if len(batch) > 0 {
-				q.dispatch(batch)
-			}
-			return
+			return batch
 		}
 	}
+	return batch
 }
 
 // dispatch executes one gathered batch: canceled requests are skipped
 // (their submitters already returned), live ones run through the
-// Inferer and receive their prediction.
+// Inferer. The batch is counted before any outcome is sent, so a caller
+// whose answer has arrived already sees it in Stats.
 //
 //ehlint:hotpath
 func (q *Queue) dispatch(batch []*pending) {
-	live := batch[:0]
-	var ncanceled int64
+	// Partition: live requests into liveBuf, canceled ones compacted in
+	// place at the front of batch.
+	live, canceled := q.liveBuf[:0], batch[:0]
 	for _, p := range batch {
 		if p.ctx != nil && p.ctx.Err() != nil {
-			p.done <- outcome{err: p.ctx.Err()}
-			ncanceled++
-			continue
+			canceled = append(canceled, p)
+		} else {
+			live = append(live, p)
 		}
-		live = append(live, p)
 	}
-	if len(live) == 0 {
-		q.noteBatch(0, ncanceled, nil)
-		return
-	}
-	reqs := q.reqsBuf[:0]
-	for _, p := range live {
-		reqs = append(reqs, p.req)
-	}
-	preds, err := q.runBatch(reqs)
-	if err != nil {
-		// Execution panicked: fail this batch's requests, keep the
-		// worker (and the daemon) alive for the next one.
+	var preds []Prediction
+	var err error
+	if len(live) > 0 {
+		reqs := q.reqsBuf[:0]
 		for _, p := range live {
-			p.done <- outcome{err: err}
+			reqs = append(reqs, p.req)
 		}
-		q.noteFailed(len(live), ncanceled)
-		return
+		// A panic fails this batch's requests and keeps the worker (and
+		// the daemon) alive for the next one.
+		preds, err = q.runBatch(reqs)
 	}
-	now := time.Now()
-	lats := q.latsBuf[:0]
+	if err != nil {
+		q.noteFailed(len(live), int64(len(canceled)))
+	} else {
+		now := time.Now()
+		lats := q.latsBuf[:0]
+		for _, p := range live {
+			lats = append(lats, now.Sub(p.enqueued))
+		}
+		q.noteBatch(len(live), int64(len(canceled)), lats)
+	}
+	for _, p := range canceled {
+		p.done <- outcome{err: p.ctx.Err()}
+	}
 	for i, p := range live {
-		p.done <- outcome{pred: preds[i]}
-		lats = append(lats, now.Sub(p.enqueued))
+		if err != nil {
+			p.done <- outcome{err: err}
+		} else {
+			p.done <- outcome{pred: preds[i]}
+		}
 	}
-	q.noteBatch(len(live), ncanceled, lats)
 }
 
 // runBatch executes one batch on the Inferer, converting a panic into

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,42 +13,92 @@ import (
 )
 
 // stubInferer answers requests with a tag derived from the input's
-// first value, optionally sleeping to simulate slow inference and
-// recording every dispatched batch.
-type stubInferer struct {
-	delay time.Duration
+// first value.
+type stubInferer struct{}
 
-	mu      sync.Mutex
-	batches [][]float32 // first value of each request per dispatch
-	served  int64
-}
-
-func (s *stubInferer) InferBatch(reqs []Req) []Prediction {
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
+func (stubInferer) InferBatch(reqs []Req) []Prediction {
 	preds := make([]Prediction, len(reqs))
-	firsts := make([]float32, len(reqs))
 	for i, r := range reqs {
 		preds[i] = Prediction{Class: int(r.Input[0]), Exit: r.Exit, Backend: "stub"}
-		firsts[i] = r.Input[0]
 	}
-	s.mu.Lock()
-	s.batches = append(s.batches, firsts)
-	s.served += int64(len(reqs))
-	s.mu.Unlock()
 	return preds
 }
 
 func req(tag int) Req { return Req{Input: []float32{float32(tag)}} }
+
+// gateInferer is a stub Inferer that parks every dispatch until the
+// test lets it go, so a test decides exactly what is queued when the
+// worker next gathers a batch. Each dispatch first reports its request
+// tags on entered, then waits for one value on release (or for release
+// to be closed, which lets every dispatch through).
+type gateInferer struct {
+	entered chan []int
+	release chan struct{}
+}
+
+func newGate() *gateInferer {
+	// entered holds more dispatches than any test makes, so a released
+	// gate never blocks the worker on a report nobody reads yet.
+	return &gateInferer{entered: make(chan []int, 64), release: make(chan struct{})}
+}
+
+func (g *gateInferer) InferBatch(reqs []Req) []Prediction {
+	tags := make([]int, len(reqs))
+	for i, r := range reqs {
+		tags[i] = int(r.Input[0])
+	}
+	g.entered <- tags
+	<-g.release
+	return stubInferer{}.InferBatch(reqs)
+}
+
+// next returns the tags of the next dispatch to reach the inferer,
+// which stays parked until the test releases it.
+func (g *gateInferer) next(t *testing.T) []int {
+	t.Helper()
+	select {
+	case tags := <-g.entered:
+		return tags
+	case <-time.After(10 * time.Second):
+		t.Fatal("no dispatch reached the inferer")
+		return nil
+	}
+}
+
+// step releases the parked dispatch.
+func (g *gateInferer) step() { g.release <- struct{}{} }
+
+// waitAll waits for every ticket and checks each is answered with its
+// own tag.
+func waitAll(t *testing.T, tickets map[int]*Ticket) {
+	t.Helper()
+	for tag, tkt := range tickets {
+		pred, err := tkt.Wait(context.Background())
+		if err != nil || pred.Class != tag {
+			t.Fatalf("request %d: %v / %+v", tag, err, pred)
+		}
+	}
+}
+
+// enqueue admits the tagged requests, filing their tickets by tag.
+func enqueue(t *testing.T, q *Queue, tickets map[int]*Ticket, tags ...int) {
+	t.Helper()
+	for _, tag := range tags {
+		tkt, err := q.Enqueue(context.Background(), req(tag))
+		if err != nil {
+			t.Fatalf("enqueue %d: %v", tag, err)
+		}
+		tickets[tag] = tkt
+	}
+}
 
 // TestQueueEchoesEveryRequest drives concurrent submitters against two
 // queues (two "artifacts") and checks every request is answered exactly
 // once with its own prediction — the cross-model race test (-race).
 func TestQueueEchoesEveryRequest(t *testing.T) {
 	const submitters, perSubmitter = 8, 25
-	qa := NewQueue(&stubInferer{}, Config{MaxBatch: 4, Window: 500 * time.Microsecond, QueueCap: 1024})
-	qb := NewQueue(&stubInferer{}, Config{MaxBatch: 7, Window: 500 * time.Microsecond, QueueCap: 1024})
+	qa := NewQueue(stubInferer{}, Config{MaxBatch: 4, QueueCap: 1024})
+	qb := NewQueue(stubInferer{}, Config{MaxBatch: 7, QueueCap: 1024})
 	defer qa.Close(context.Background())
 	defer qb.Close(context.Background())
 
@@ -102,32 +152,57 @@ func TestQueueEchoesEveryRequest(t *testing.T) {
 	}
 }
 
-// TestQueueBatchesUnderLoad checks that the window actually coalesces:
-// with a slow inferer and many concurrent submitters, dispatches must
-// carry more than one request on average.
-func TestQueueBatchesUnderLoad(t *testing.T) {
-	stub := &stubInferer{delay: 2 * time.Millisecond}
-	q := NewQueue(stub, Config{MaxBatch: 8, Window: 5 * time.Millisecond, QueueCap: 256})
+// TestQueueDispatchesLoneRequest: on an idle queue a single request
+// leaves at once as a batch of one — nothing holds it back to wait for
+// company.
+func TestQueueDispatchesLoneRequest(t *testing.T) {
+	g := newGate()
+	q := NewQueue(g, Config{MaxBatch: 8, QueueCap: 16})
 	defer q.Close(context.Background())
 
-	const n = 48
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := q.Submit(context.Background(), req(i)); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	tickets := map[int]*Ticket{}
+	enqueue(t, q, tickets, 7)
+	if got := g.next(t); !reflect.DeepEqual(got, []int{7}) {
+		t.Fatalf("dispatched %v, want [7]", got)
 	}
-	wg.Wait()
+	g.step()
+	waitAll(t, tickets)
 	st := q.Stats()
-	if st.Served != n {
-		t.Fatalf("served %d, want %d", st.Served, n)
+	if st.Batches != 1 || st.BatchSizes[0] != 1 || st.Served != 1 {
+		t.Fatalf("lone request accounting: %+v", st)
 	}
-	if st.MeanBatch <= 1.2 {
-		t.Errorf("mean batch %.2f: the window did not coalesce concurrent requests", st.MeanBatch)
+}
+
+// TestQueueBatchesUnderLoad checks that requests queued behind a running
+// batch coalesce: they leave together in the next dispatch, split at
+// MaxBatch, in arrival order.
+func TestQueueBatchesUnderLoad(t *testing.T) {
+	g := newGate()
+	q := NewQueue(g, Config{MaxBatch: 4, QueueCap: 16})
+	defer q.Close(context.Background())
+
+	tickets := map[int]*Ticket{}
+	enqueue(t, q, tickets, 0)
+	if got := g.next(t); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("first dispatch %v, want [0]", got)
+	}
+	// The worker is parked inside batch [0]: these six pile up behind it.
+	enqueue(t, q, tickets, 1, 2, 3, 4, 5, 6)
+	for _, want := range [][]int{{1, 2, 3, 4}, {5, 6}} {
+		g.step()
+		if got := g.next(t); !reflect.DeepEqual(got, want) {
+			t.Fatalf("dispatched %v, want %v", got, want)
+		}
+	}
+	g.step()
+	waitAll(t, tickets)
+
+	st := q.Stats()
+	if st.Served != 7 || st.Batches != 3 {
+		t.Fatalf("served %d in %d batches, want 7 in 3", st.Served, st.Batches)
+	}
+	if want := []int64{1, 1, 0, 1}; !reflect.DeepEqual(st.BatchSizes, want) {
+		t.Fatalf("batch sizes %v, want %v", st.BatchSizes, want)
 	}
 	if st.LatencyMS.P50 <= 0 || st.LatencyMS.P99 < st.LatencyMS.P50 {
 		t.Errorf("implausible latency percentiles %+v", st.LatencyMS)
@@ -137,161 +212,191 @@ func TestQueueBatchesUnderLoad(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure fills a tiny queue behind a stalled inferer and
+// TestQueueBackpressure fills a tiny queue behind a parked dispatch and
 // checks the bound produces ErrQueueFull (the HTTP 429 signal), while
 // every accepted request is still answered.
 func TestQueueBackpressure(t *testing.T) {
-	stub := &stubInferer{delay: 20 * time.Millisecond}
-	q := NewQueue(stub, Config{MaxBatch: 2, Window: time.Millisecond, QueueCap: 4})
+	g := newGate()
+	q := NewQueue(g, Config{MaxBatch: 2, QueueCap: 4})
 	defer q.Close(context.Background())
 
-	const n = 40
-	var accepted, rejected, answered atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tkt, err := q.Enqueue(context.Background(), req(i))
-			if errors.Is(err, ErrQueueFull) {
-				rejected.Add(1)
-				return
-			}
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			accepted.Add(1)
-			if _, err := tkt.Wait(context.Background()); err != nil {
-				t.Error(err)
-				return
-			}
-			answered.Add(1)
-		}(i)
+	tickets := map[int]*Ticket{}
+	enqueue(t, q, tickets, 0)
+	g.next(t)
+	// The worker holds request 0; the queue itself has room for four.
+	enqueue(t, q, tickets, 1, 2, 3, 4)
+	for i := 0; i < 3; i++ {
+		if _, err := q.Enqueue(context.Background(), req(100+i)); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("enqueue past the bound: %v, want ErrQueueFull", err)
+		}
 	}
-	wg.Wait()
-	if rejected.Load() == 0 {
-		t.Fatal("no request hit the queue bound")
-	}
-	if answered.Load() != accepted.Load() {
-		t.Fatalf("%d accepted but %d answered", accepted.Load(), answered.Load())
-	}
+	close(g.release)
+	waitAll(t, tickets)
 	st := q.Stats()
-	if st.Rejected != rejected.Load() || st.Served != answered.Load() {
-		t.Fatalf("stats (served %d, rejected %d) vs observed (%d, %d)",
-			st.Served, st.Rejected, answered.Load(), rejected.Load())
+	if st.Rejected != 3 || st.Served != 5 || st.QueueDepth != 0 || st.MaxDepth != 5 {
+		t.Fatalf("stats %+v, want served 5, rejected 3, depth 0, max depth 5", st)
 	}
 }
 
-// TestQueueCancellationMidWindow cancels requests after admission but
+// TestQueueCancellationWhileQueued cancels requests after admission but
 // before dispatch: the submitter unblocks with ctx.Err(), the
 // dispatcher skips the corpse, and live requests are unaffected.
-func TestQueueCancellationMidWindow(t *testing.T) {
-	q := NewQueue(&stubInferer{}, Config{MaxBatch: 16, Window: 50 * time.Millisecond, QueueCap: 64})
+func TestQueueCancellationWhileQueued(t *testing.T) {
+	g := newGate()
+	q := NewQueue(g, Config{MaxBatch: 16, QueueCap: 64})
 	defer q.Close(context.Background())
 
-	// The long window holds the batch open: admit one live and several
-	// canceled requests into the same window.
-	live, err := q.Enqueue(context.Background(), req(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var canceledWait sync.WaitGroup
+	tickets := map[int]*Ticket{}
+	enqueue(t, q, tickets, 0)
+	g.next(t)
+	// Queue one live request, five that are canceled while they wait,
+	// and another live one, all behind the parked batch.
+	enqueue(t, q, tickets, 1)
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		tkt, err := q.Enqueue(ctx, req(100+i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		canceledWait.Add(1)
-		go func() {
-			defer canceledWait.Done()
-			if _, err := tkt.Wait(ctx); !errors.Is(err, context.Canceled) {
-				t.Errorf("canceled request got %v", err)
-			}
-		}()
 		cancel()
+		if _, err := tkt.Wait(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled request got %v", err)
+		}
 	}
-	canceledWait.Wait()
+	enqueue(t, q, tickets, 2)
 
-	pred, err := live.Wait(context.Background())
-	if err != nil || pred.Class != 1 {
-		t.Fatalf("live request: %v / %+v", err, pred)
+	g.step()
+	if got := g.next(t); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("dispatched %v, want the live requests [1 2]", got)
 	}
-	// Allow the dispatcher to retire the canceled slots, then verify
-	// accounting: 1 served, 5 canceled, depth back to zero.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := q.Stats()
-		if st.Canceled == 5 && st.Served == 1 && st.QueueDepth == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats never settled: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
+	g.step()
+	waitAll(t, tickets)
+	// The batch was counted before its answers went out.
+	if st := q.Stats(); st.Canceled != 5 || st.Served != 3 || st.Batches != 2 || st.QueueDepth != 0 {
+		t.Fatalf("stats %+v, want served 3 in 2 batches, canceled 5, depth 0", st)
 	}
 }
 
 // TestQueueShutdownDrain closes a queue with requests still waiting:
-// every admitted request must be answered (drained, not lost), new
-// submissions must fail with ErrClosed, and no request may be answered
-// twice.
+// every admitted request must be answered (drained, not lost) in
+// batches within MaxBatch, new submissions must fail with ErrClosed,
+// and no request may be answered twice.
 func TestQueueShutdownDrain(t *testing.T) {
-	stub := &stubInferer{delay: 5 * time.Millisecond}
-	q := NewQueue(stub, Config{MaxBatch: 3, Window: 30 * time.Millisecond, QueueCap: 128})
+	g := newGate()
+	q := NewQueue(g, Config{MaxBatch: 3, QueueCap: 128})
 
 	const n = 20
-	type result struct {
-		tag  int
-		pred Prediction
-		err  error
-	}
-	results := make(chan result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		tkt, err := q.Enqueue(context.Background(), req(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, tkt *Ticket) {
-			defer wg.Done()
-			p, err := tkt.Wait(context.Background())
-			results <- result{tag: i, pred: p, err: err}
-		}(i, tkt)
+	tickets := map[int]*Ticket{}
+	enqueue(t, q, tickets, 0)
+	dispatched := [][]int{g.next(t)}
+	for tag := 1; tag < n; tag++ {
+		enqueue(t, q, tickets, tag)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := q.Close(ctx); err != nil {
+	closed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		closed <- q.Close(ctx)
+	}()
+	// Let the parked batch go only once Close has stopped admissions
+	// and signaled the worker, so the rest leaves through the drain.
+	select {
+	case <-q.stop:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never signaled the worker")
+	}
+	close(g.release)
+	if err := <-closed; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if _, err := q.Submit(context.Background(), req(999)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close submit: %v, want ErrClosed", err)
 	}
+	waitAll(t, tickets)
 
-	wg.Wait()
-	close(results)
+	close(g.entered)
+	for tags := range g.entered {
+		dispatched = append(dispatched, tags)
+	}
 	seen := map[int]bool{}
-	for r := range results {
-		if r.err != nil {
-			t.Fatalf("request %d lost at shutdown: %v", r.tag, r.err)
+	for _, batch := range dispatched {
+		if len(batch) > 3 {
+			t.Fatalf("drained a batch of %d (bound 3)", len(batch))
 		}
-		if r.pred.Class != r.tag {
-			t.Fatalf("request %d answered with %d", r.tag, r.pred.Class)
+		for _, tag := range batch {
+			if seen[tag] {
+				t.Fatalf("request %d dispatched twice", tag)
+			}
+			seen[tag] = true
 		}
-		if seen[r.tag] {
-			t.Fatalf("request %d answered twice", r.tag)
-		}
-		seen[r.tag] = true
 	}
 	if len(seen) != n {
-		t.Fatalf("answered %d of %d", len(seen), n)
+		t.Fatalf("dispatched %d of %d", len(seen), n)
 	}
 	// Closing again is a no-op.
 	if err := q.Close(context.Background()); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestQueueCountsBeforeReply: a request's dispatch is in Stats by the
+// time its submitter has the answer, on the success and the failure
+// path alike — no polling needed.
+func TestQueueCountsBeforeReply(t *testing.T) {
+	q := NewQueue(&panicInferer{}, Config{MaxBatch: 4, QueueCap: 16})
+	defer q.Close(context.Background())
+
+	for i := 1; i <= 200; i++ {
+		if _, err := q.Submit(context.Background(), req(i)); err != nil {
+			t.Fatal(err)
+		}
+		if st := q.Stats(); st.Served != int64(i) || st.QueueDepth != 0 {
+			t.Fatalf("after answer %d: served %d, depth %d", i, st.Served, st.QueueDepth)
+		}
+	}
+	for i := 1; i <= 20; i++ {
+		if _, err := q.Submit(context.Background(), req(1000)); !errors.Is(err, ErrInferenceFailed) {
+			t.Fatalf("poisoned request: %v", err)
+		}
+		if st := q.Stats(); st.Errored != int64(i) || st.QueueDepth != 0 {
+			t.Fatalf("after failure %d: errored %d, depth %d", i, st.Errored, st.QueueDepth)
+		}
+	}
+}
+
+// fixedInferer answers every batch from one preallocated slice, so a
+// dispatch through it measures only the queue's own allocations.
+type fixedInferer struct{ preds []Prediction }
+
+func (f *fixedInferer) InferBatch(reqs []Req) []Prediction { return f.preds[:len(reqs)] }
+
+// TestQueueDispatchAllocs: gathering and dispatching a batch allocates
+// nothing — the runtime counterpart of dispatch's //ehlint:hotpath mark.
+func TestQueueDispatchAllocs(t *testing.T) {
+	const size = 4
+	q := NewQueue(&fixedInferer{preds: make([]Prediction, size)}, Config{MaxBatch: size, QueueCap: 16})
+	// Stop the worker: the test drives fill and dispatch itself.
+	if err := q.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ps := make([]*pending, size)
+	for i := range ps {
+		ps[i] = &pending{req: req(i), ctx: context.Background(), done: make(chan outcome, 1)}
+	}
+	batch := make([]*pending, 0, size)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range ps {
+			q.ch <- p
+		}
+		batch = q.fill(batch[:0])
+		q.dispatch(batch)
+		for _, p := range ps {
+			<-p.done
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("fill+dispatch allocated %.1f times per batch", allocs)
 	}
 }
 
@@ -307,8 +412,8 @@ func TestQueueOnRealModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qa := NewQueue(ma, Config{MaxBatch: 4, Window: time.Millisecond, QueueCap: 256})
-	qb := NewQueue(mb, Config{MaxBatch: 4, Window: time.Millisecond, QueueCap: 256})
+	qa := NewQueue(ma, Config{MaxBatch: 4, QueueCap: 256})
+	qb := NewQueue(mb, Config{MaxBatch: 4, QueueCap: 256})
 	defer qa.Close(context.Background())
 	defer qb.Close(context.Background())
 
@@ -357,7 +462,7 @@ func (p *panicInferer) InferBatch(reqs []Req) []Prediction {
 // fail that batch's requests with an error — and leave the worker alive
 // for the next batch — never unwind the daemon.
 func TestQueueSurvivesInfererPanic(t *testing.T) {
-	q := NewQueue(&panicInferer{}, Config{MaxBatch: 4, Window: time.Millisecond, QueueCap: 16})
+	q := NewQueue(&panicInferer{}, Config{MaxBatch: 4, QueueCap: 16})
 	defer q.Close(context.Background())
 
 	if _, err := q.Submit(context.Background(), req(1000)); !errors.Is(err, ErrInferenceFailed) {
@@ -377,7 +482,7 @@ func TestQueueSurvivesInfererPanic(t *testing.T) {
 // and all return success once the worker exits; submissions afterward
 // fail ErrClosed.
 func TestQueueCloseIdempotentConcurrent(t *testing.T) {
-	q := NewQueue(&stubInferer{}, Config{MaxBatch: 4, Window: time.Millisecond, QueueCap: 8})
+	q := NewQueue(stubInferer{}, Config{MaxBatch: 4, QueueCap: 8})
 	if _, err := q.Submit(context.Background(), req(1)); err != nil {
 		t.Fatalf("warmup submit: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRuntimeDeterminism: identical seeds must produce bit-identical
-// simulation outcomes — the property every experiment in EXPERIMENTS.md
+// simulation outcomes — the property every paper bench and grid
 // relies on for reproducibility.
 func TestRuntimeDeterminism(t *testing.T) {
 	run := func() []int {

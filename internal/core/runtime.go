@@ -4,7 +4,7 @@
 // selection and incremental refinement). It also hosts the experiment
 // drivers that regenerate every figure of §V.
 //
-// Two accuracy backends are supported (DESIGN.md §2):
+// Two accuracy backends are supported:
 //
 //   - Surrogate mode: per-event correctness is drawn from the calibrated
 //     per-exit accuracies via a per-event difficulty variable u ∈ [0,1);

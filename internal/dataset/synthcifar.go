@@ -2,7 +2,7 @@
 // networks train and evaluate on.
 //
 // The paper uses CIFAR-10, which is not available in this offline
-// environment. SynthCIFAR is the documented substitute (DESIGN.md §2): a
+// environment. SynthCIFAR is its substitute: a
 // seeded, procedural 10-class 32×32×3 generator whose classes are
 // distinguishable by a small CNN and whose accuracy degrades smoothly
 // under pruning/quantization — the two properties the paper's pipeline

@@ -5,7 +5,7 @@
 // The paper powers its MSP432 from a measured NREL solar profile [17].
 // That dataset is not available offline, so SyntheticSolarTrace generates
 // a diurnal irradiance arc modulated by an AR(1) cloud-occlusion process
-// (DESIGN.md §2); real traces can be loaded with LoadTraceCSV. All
+// as its stand-in; real traces can be loaded with LoadTraceCSV. All
 // energies are in millijoules and times in seconds (the paper's "time
 // unit" is 1 s).
 package energy

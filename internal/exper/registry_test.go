@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compress"
@@ -14,6 +15,15 @@ import (
 	"repro/internal/mcu"
 )
 
+// regSeq numbers registrations so every pass of a test (-count=N,
+// -cpu=1,4) claims fresh names in the process-global registries.
+var regSeq atomic.Int64
+
+// uniqueName returns base with a process-unique suffix.
+func uniqueName(base string) string {
+	return fmt.Sprintf("%s-%d", base, regSeq.Add(1))
+}
+
 func TestRegisterDuplicateAndEmptyNames(t *testing.T) {
 	if err := RegisterDevice("", mcu.MSP432); err == nil {
 		t.Error("empty device name must be rejected")
@@ -21,13 +31,14 @@ func TestRegisterDuplicateAndEmptyNames(t *testing.T) {
 	if err := RegisterDevice("MSP432", mcu.MSP432); err == nil {
 		t.Error("duplicate device name must be rejected")
 	}
-	if err := RegisterDevice("reg-dup-test", nil); err == nil {
+	name := uniqueName("reg-dup-test")
+	if err := RegisterDevice(name, nil); err == nil {
 		t.Error("nil device constructor must be rejected")
 	}
-	if err := RegisterDevice("reg-dup-test", mcu.MSP432); err != nil {
+	if err := RegisterDevice(name, mcu.MSP432); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterDevice("reg-dup-test", mcu.MSP432); err == nil {
+	if err := RegisterDevice(name, mcu.MSP432); err == nil {
 		t.Error("re-registration must be rejected")
 	}
 	if err := RegisterPolicy("nonuniform", compress.Fig1bNonuniform); err == nil {
@@ -41,19 +52,20 @@ func TestRegisterDuplicateAndEmptyNames(t *testing.T) {
 // TestRegisteredAxesResolve runs a tiny grid whose device, trace, and
 // schedule are all runtime registrations.
 func TestRegisteredAxesResolve(t *testing.T) {
-	if err := RegisterDevice("reg-axes-mcu", func() *mcu.Device {
+	device, trace, sched := uniqueName("reg-axes-mcu"), uniqueName("reg-axes-trace"), uniqueName("reg-axes-sched")
+	if err := RegisterDevice(device, func() *mcu.Device {
 		d := mcu.MSP432()
-		d.Name = "reg-axes-mcu"
+		d.Name = device
 		return d
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterTrace("reg-axes-trace", func(seed uint64) (*energy.Trace, error) {
+	if err := RegisterTrace(trace, func(seed uint64) (*energy.Trace, error) {
 		return energy.ConstantTrace(600, 0.05), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterSchedule("reg-axes-sched", func(n, duration, classes int, seed uint64) *energy.Schedule {
+	if err := RegisterSchedule(sched, func(n, duration, classes int, seed uint64) *energy.Schedule {
 		return energy.UniformSchedule(n, duration, classes, seed)
 	}); err != nil {
 		t.Fatal(err)
@@ -61,9 +73,9 @@ func TestRegisteredAxesResolve(t *testing.T) {
 	spec := GridSpec{
 		Name:     "registered-axes",
 		Events:   20,
-		Devices:  []string{"reg-axes-mcu"},
-		Schedule: "reg-axes-sched",
-		Traces:   []TraceSpec{RegisteredTrace("reg-axes-trace")},
+		Devices:  []string{device},
+		Schedule: sched,
+		Traces:   []TraceSpec{RegisteredTrace(trace)},
 		Seeds:    []uint64{1},
 	}
 	grid, err := spec.Grid()
@@ -77,7 +89,7 @@ func TestRegisteredAxesResolve(t *testing.T) {
 	if errs := res.Errs(); len(errs) != 0 {
 		t.Fatalf("grid errors: %v", errs)
 	}
-	if res.Results[0].Point.Device.Name != "reg-axes-mcu" {
+	if res.Results[0].Point.Device.Name != device {
 		t.Fatal("registered device did not reach the point")
 	}
 }
@@ -90,21 +102,22 @@ func TestRegisteredDeploymentResolvesAsPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterDeployment("reg-deploy-test", d); err != nil {
+	name := uniqueName("reg-deploy-test")
+	if err := RegisterDeployment(name, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterDeployment("reg-deploy-test", d); err == nil {
+	if err := RegisterDeployment(name, d); err == nil {
 		t.Error("duplicate deployment registration must be rejected")
 	}
 	// The two registries share the LookupPolicy namespace: a name in one
 	// may not be claimed in the other (it would be silently shadowed).
-	if err := RegisterPolicy("reg-deploy-test", compress.Fig1bNonuniform); err == nil {
+	if err := RegisterPolicy(name, compress.Fig1bNonuniform); err == nil {
 		t.Error("policy registration over a deployment name must be rejected")
 	}
 	if err := RegisterDeployment("nonuniform", d); err == nil {
 		t.Error("deployment registration over a built-in policy name must be rejected")
 	}
-	spec := GridSpec{Name: "dep", Events: 20, Policies: []string{"reg-deploy-test"}, Seeds: []uint64{1}}
+	spec := GridSpec{Name: "dep", Events: 20, Policies: []string{name}, Seeds: []uint64{1}}
 	grid, err := spec.Grid()
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +134,7 @@ func TestRegisteredDeploymentResolvesAsPolicy(t *testing.T) {
 		Name: "dep", Events: 20,
 		Traces:   []TraceSpec{PaperSolarTrace(0.032)},
 		Devices:  []DeviceSpec{MSP432Device()},
-		Policies: []PolicySpec{PolicyFromDeployed("reg-deploy-test", d)},
+		Policies: []PolicySpec{PolicyFromDeployed(name, d)},
 		Exits:    []ExitSpec{QLearningExit(0)},
 		Storages: []StorageSpec{Capacitor(6)},
 		Seeds:    []uint64{1},
@@ -169,7 +182,8 @@ func TestCSVTraceAsGridAxis(t *testing.T) {
 	if err := energy.SaveTraceCSV(path, energy.ConstantTrace(600, 0.06)); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterTrace("csv-axis-test", energy.TraceFromCSV(path)); err != nil {
+	name := uniqueName("csv-axis-test")
+	if err := RegisterTrace(name, energy.TraceFromCSV(path)); err != nil {
 		t.Fatal(err)
 	}
 	// The two specs describe the same file differently, so the embedded
@@ -198,8 +212,8 @@ func TestCSVTraceAsGridAxis(t *testing.T) {
 		}
 		return string(rows)
 	}
-	direct := run(TraceSpec{Name: "csv-axis-test", Kind: TraceCSV, Path: path})
-	registered := run(RegisteredTrace("csv-axis-test"))
+	direct := run(TraceSpec{Name: name, Kind: TraceCSV, Path: path})
+	registered := run(RegisteredTrace(name))
 	if direct != registered {
 		t.Fatal("csv-kind and registered-kind trace axes diverge on the same file")
 	}

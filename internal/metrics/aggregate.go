@@ -8,8 +8,8 @@ import (
 )
 
 // Aggregate summarizes a metric across repeated runs (different seeds),
-// with mean, standard deviation, and min/median/max — what EXPERIMENTS.md
-// reports for seed-sensitive quantities.
+// with mean, standard deviation, and min/median/max — how the paper
+// benches report seed-sensitive quantities.
 type Aggregate struct {
 	Name   string
 	Values []float64

@@ -8,8 +8,8 @@ import (
 // Paper constants for the LeNet-EE architecture (§V-A): the extended
 // four-conv LeNet with two early exits. Our channel allocation (below)
 // reproduces the paper's per-exit FLOPs within ~1% and the 580 KB
-// full-precision weight storage within ~1%; EXPERIMENTS.md records the
-// exact deltas.
+// full-precision weight storage within ~1% (cmd/paperbench prints the
+// paper's and the measured values side by side).
 const (
 	// PaperExit1FLOPs..PaperExit3FLOPs are the per-exit MAC counts the
 	// paper reports (0.4452M, 1.2602M, 1.6202M).

@@ -36,7 +36,7 @@ func waitForResults(t *testing.T, base, id string) map[string]any {
 }
 
 // encodeTestArtifact builds a small deterministic deployment artifact.
-func encodeTestArtifact(t *testing.T, name string) []byte {
+func encodeTestArtifact(t testing.TB, name string) []byte {
 	t.Helper()
 	session := ehinfer.NewSession(ehinfer.WithSeed(5))
 	d, err := session.BuildDeployed(ehinfer.Fig1bNonuniform())
@@ -166,9 +166,10 @@ func TestServeArtifactRejectsCorrupt(t *testing.T) {
 // MCU registered at runtime through the public API is runnable by name
 // in a GridSpec submitted over HTTP, and /v1/registry reflects it.
 func TestServeRuntimeRegisteredDevice(t *testing.T) {
-	if err := ehinfer.RegisterDevice("serve-e2e-mcu", func() *ehinfer.Device {
+	name := uniqueName("serve-e2e-mcu")
+	if err := ehinfer.RegisterDevice(name, func() *ehinfer.Device {
 		d := mcu.MSP432()
-		d.Name = "serve-e2e-mcu"
+		d.Name = name
 		d.EnergyPerMFLOP = 1.0
 		return d
 	}); err != nil {
@@ -179,7 +180,7 @@ func TestServeRuntimeRegisteredDevice(t *testing.T) {
 	reg := getJSON(t, ts.URL+"/v1/registry")
 	found := false
 	for _, dev := range reg["devices"].([]any) {
-		if dev == "serve-e2e-mcu" {
+		if dev == name {
 			found = true
 		}
 	}
@@ -187,9 +188,9 @@ func TestServeRuntimeRegisteredDevice(t *testing.T) {
 		t.Fatal("/v1/registry does not reflect the runtime-registered device")
 	}
 
-	spec := `{"name":"custom-dev","events":20,
+	spec := fmt.Sprintf(`{"name":"custom-dev","events":20,
 		"traces":[{"name":"s","kind":"solar","seconds":900,"peakPower":0.05}],
-		"devices":["serve-e2e-mcu"],"seeds":[1]}`
+		"devices":[%q],"seeds":[1]}`, name)
 	sub := postJSON(t, ts.URL+"/v1/grids", spec)
 	id, _ := sub["id"].(string)
 	if id == "" {
@@ -201,22 +202,23 @@ func TestServeRuntimeRegisteredDevice(t *testing.T) {
 		t.Fatalf("point on registered device failed: %v", errMsg)
 	}
 	point := res["point"].(map[string]any)
-	if dev := point["device"].(map[string]any)["name"]; dev != "serve-e2e-mcu" {
-		t.Fatalf("point ran on %v, want serve-e2e-mcu", dev)
+	if dev := point["device"].(map[string]any)["name"]; dev != name {
+		t.Fatalf("point ran on %v, want %s", dev, name)
 	}
 }
 
 // TestServeRegisteredScheduleAndTrace submits a grid whose schedule and
 // trace are runtime registrations.
 func TestServeRegisteredScheduleAndTrace(t *testing.T) {
-	if err := ehinfer.RegisterSchedule("serve-e2e-bursty", func(n, duration, classes int, seed uint64) *ehinfer.Schedule {
+	sched := uniqueName("serve-e2e-bursty")
+	if err := ehinfer.RegisterSchedule(sched, func(n, duration, classes int, seed uint64) *ehinfer.Schedule {
 		return ehinfer.BurstySchedule(n, duration, classes, 3, seed)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, 1)
-	spec := `{"name":"custom-axes","events":20,"schedule":"serve-e2e-bursty",
-		"traces":[{"name":"paper-kinetic","kind":"registered"}],"seeds":[1]}`
+	spec := fmt.Sprintf(`{"name":"custom-axes","events":20,"schedule":%q,
+		"traces":[{"name":"paper-kinetic","kind":"registered"}],"seeds":[1]}`, sched)
 	sub := postJSON(t, ts.URL+"/v1/grids", spec)
 	id, _ := sub["id"].(string)
 	if id == "" {

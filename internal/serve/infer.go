@@ -140,7 +140,7 @@ func (sv *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Enqueue the whole request before waiting, so all its inputs can
-	// share one micro-batching window.
+	// leave in one dispatch.
 	tickets := make([]*batch.Ticket, len(reqs))
 	for i := range reqs {
 		t, err := tgt.queue.Enqueue(r.Context(), reqs[i])

@@ -198,22 +198,21 @@ func TestServeInferBackendSelection(t *testing.T) {
 	}
 }
 
-// TestServeInferBadRequests is the satellite's table: every malformed
-// payload must come back 400/404 with a JSON error — never a panic, a
-// hang, or a 500.
-func TestServeInferBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, 1)
-	id := uploadArtifact(t, ts.URL, encodeTestArtifact(t, "infer-bad"))
+// badInferCase is one malformed /v1/infer body and the status it must
+// get.
+type badInferCase struct {
+	name string
+	body string
+	code int
+}
 
+// badInferCases lists malformed /v1/infer bodies against the uploaded
+// artifact id.
+func badInferCases(id string) []badInferCase {
 	okInput := inferBody(id, 1)
 	short := fmt.Sprintf(`{"artifact":%q,"input":[0.1,0.2,0.3]}`, id)
 	nan := fmt.Sprintf(`{"artifact":%q,"inputs":[[%s]]}`, id, strings.TrimSuffix(strings.Repeat("0.1,", 3071), ",")+",NaN")
-
-	cases := []struct {
-		name string
-		body string
-		code int
-	}{
+	return []badInferCase{
 		{"not json", `this is not json`, http.StatusBadRequest},
 		{"unknown field", `{"artifact":"a1","frobnicate":1}`, http.StatusBadRequest},
 		{"no model reference", `{"input":[0.1]}`, http.StatusBadRequest},
@@ -229,7 +228,15 @@ func TestServeInferBadRequests(t *testing.T) {
 		{"exit too deep", strings.Replace(okInput, `]]}`, `]],"exit":9}`, 1), http.StatusBadRequest},
 		{"bad threshold", strings.Replace(okInput, `]]}`, `]],"threshold":2}`, 1), http.StatusBadRequest},
 	}
-	for _, tc := range cases {
+}
+
+// TestServeInferBadRequests: every malformed payload must come back
+// 400/404 with a JSON error — never a panic, a hang, or a 500.
+func TestServeInferBadRequests(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	id := uploadArtifact(t, ts.URL, encodeTestArtifact(t, "infer-bad"))
+
+	for _, tc := range badInferCases(id) {
 		code, out := postInfer(t, ts.URL, tc.body)
 		if code != tc.code {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, code, tc.code, out)
@@ -241,9 +248,61 @@ func TestServeInferBadRequests(t *testing.T) {
 	}
 
 	// The daemon must still be healthy after the whole gauntlet.
-	if code, out := postInfer(t, ts.URL, okInput); code != http.StatusOK {
+	if code, out := postInfer(t, ts.URL, inferBody(id, 1)); code != http.StatusOK {
 		t.Fatalf("server unhealthy after bad requests: %d %v", code, out)
 	}
+}
+
+// FuzzInferRequest feeds arbitrary bodies through the /v1/infer handler
+// against one uploaded artifact. The decoder's contract: every body is
+// answered 200, 400, 404 or 413 — never a 5xx, never a panic — and a
+// 200 carries exactly one prediction per input.
+func FuzzInferRequest(f *testing.F) {
+	sv := New(WithSession(ehinfer.NewSession(ehinfer.WithWorkers(1))))
+	f.Cleanup(func() { _ = sv.Shutdown(context.Background()) })
+	up := httptest.NewRecorder()
+	sv.ServeHTTP(up, httptest.NewRequest(http.MethodPost, "/v1/artifacts",
+		bytes.NewReader(encodeTestArtifact(f, "infer-fuzz"))))
+	var art artifactStatus
+	if err := json.Unmarshal(up.Body.Bytes(), &art); err != nil || up.Code != http.StatusCreated {
+		f.Fatalf("upload: %d %s", up.Code, up.Body)
+	}
+
+	for _, tc := range badInferCases(art.ID) {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(inferBody(art.ID, 1)))
+	f.Add([]byte(inferBody(art.ID, 2)))
+	f.Add([]byte(strings.Replace(inferBody(art.ID, 1), `{"artifact"`, `{"backend":"int8fast","artifact"`, 1)))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		sv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		// The handler decodes one JSON value and ignores what follows;
+		// so does the oracle.
+		var req inferRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for an undecodable body %q: %v", body, err)
+		}
+		want := len(req.Inputs)
+		if req.Input != nil {
+			want = 1
+		}
+		var resp inferResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 reply is not JSON: %v", err)
+		}
+		if len(resp.Predictions) != want {
+			t.Fatalf("%d predictions for %d inputs", len(resp.Predictions), want)
+		}
+	})
 }
 
 // slowArtifact encodes a deployment whose single inference costs tens
@@ -282,7 +341,7 @@ func TestServeInferBackpressure(t *testing.T) {
 	// and shed. Multi-input requests would be all-or-nothing per request
 	// and could 429 across the board under total overload.
 	sv := New(WithSession(ehinfer.NewSession(ehinfer.WithWorkers(1))),
-		WithBatchConfig(batch.Config{MaxBatch: 2, Window: time.Millisecond, QueueCap: 2}))
+		WithBatchConfig(batch.Config{MaxBatch: 2, QueueCap: 2}))
 	ts := newHTTPServer(t, sv)
 	id := uploadArtifact(t, ts, slowArtifact(t))
 
@@ -350,12 +409,13 @@ func TestServeInferDeploymentAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ehinfer.RegisterDeployment("serve-infer-test-dep", d); err != nil {
+	name := uniqueName("serve-infer-test-dep")
+	if err := ehinfer.RegisterDeployment(name, d); err != nil {
 		t.Fatal(err)
 	}
-	body := strings.Replace(inferBody("X", 1), fmt.Sprintf(`"artifact":%q`, "X"), `"deployment":"serve-infer-test-dep"`, 1)
+	body := strings.Replace(inferBody("X", 1), fmt.Sprintf(`"artifact":%q`, "X"), fmt.Sprintf(`"deployment":%q`, name), 1)
 	code, out := postInfer(t, ts.URL, body)
-	if code != http.StatusOK || out["model"] != "deployment:serve-infer-test-dep" {
+	if code != http.StatusOK || out["model"] != "deployment:"+name {
 		t.Fatalf("deployment infer: %d %v", code, out)
 	}
 

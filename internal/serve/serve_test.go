@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +37,15 @@ const slowSpec = `{
 	"exits": [{"name": "q", "mode": 0, "warmup": 200}],
 	"seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
 }`
+
+// regSeq numbers registrations so every pass of a test (-count=N,
+// -cpu=1,4) claims fresh names in the process-global registries.
+var regSeq atomic.Int64
+
+// uniqueName returns base with a process-unique suffix.
+func uniqueName(base string) string {
+	return fmt.Sprintf("%s-%d", base, regSeq.Add(1))
+}
 
 func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 	t.Helper()

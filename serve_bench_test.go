@@ -25,7 +25,6 @@ func BenchmarkServerInferThroughput(b *testing.B) {
 	session := ehinfer.NewSession(ehinfer.WithWorkers(1))
 	sv := serve.New(serve.WithSession(session), serve.WithBatchConfig(batch.Config{
 		MaxBatch: 8,
-		Window:   2 * time.Millisecond,
 		QueueCap: 256,
 	}))
 	ts := httptest.NewServer(sv)
