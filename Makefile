@@ -13,7 +13,7 @@ BENCH_JSON ?= BENCH_pr10.json
 # breaks inference or the episode loop fails the build.
 SMOKEBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8|InferToExit3Int8Fast|IncrementalResume|FullSimulationEpisode)$$
 
-.PHONY: all build test test-cpu race bench bench-smoke bench-json artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
+.PHONY: all build test test-cpu race fuzz-smoke bench bench-smoke bench-json artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
 
 all: build
 
@@ -36,6 +36,17 @@ test-cpu:
 ## race: run the full test suite under the race detector
 race:
 	$(GO) test -race ./...
+
+## fuzz-smoke: run every fuzz target for 10 s each. go test -fuzz takes
+## one target per invocation, so the loop runs them in turn.
+FUZZ_TARGETS = ./internal/serve:FuzzResumeJournal ./internal/serve:FuzzInferRequest \
+	./internal/plan:FuzzRequantU8 ./internal/artifact:FuzzDecode ./internal/fleet:FuzzFleetSpec
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$fn ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 10s $$pkg; \
+	done
 
 ## bench: one-iteration benchmark smoke pass (compiles and runs every benchmark once)
 bench:
@@ -121,7 +132,7 @@ staticcheck:
 	staticcheck ./...
 
 ## ci: everything the CI workflow gates on
-ci: fmt-check lint build test-cpu race bench artifact-check infer-smoke crash-smoke fleet-smoke
+ci: fmt-check lint build test-cpu race fuzz-smoke bench artifact-check infer-smoke crash-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

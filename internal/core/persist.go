@@ -11,10 +11,10 @@ import (
 // incremental decision) — on a real device this is the FRAM write that
 // lets learning survive power failures and reboots.
 func (r *Runtime) SaveAgents(w io.Writer) error {
-	if err := r.exitAgent.Table.Save(w); err != nil {
+	if err := r.ep.ExitAgent.Table.Save(w); err != nil {
 		return fmt.Errorf("core: save exit agent: %w", err)
 	}
-	if err := r.incrAgent.Table.Save(w); err != nil {
+	if err := r.ep.IncrAgent.Table.Save(w); err != nil {
 		return fmt.Errorf("core: save incremental agent: %w", err)
 	}
 	return nil
@@ -31,15 +31,15 @@ func (r *Runtime) LoadAgents(rd io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: load incremental agent: %w", err)
 	}
-	if exit.NumStates != r.exitAgent.Table.NumStates || exit.NumActions != r.exitAgent.Table.NumActions {
+	if exit.NumStates != r.ep.ExitAgent.Table.NumStates || exit.NumActions != r.ep.ExitAgent.Table.NumActions {
 		return fmt.Errorf("core: exit table is %d×%d, runtime expects %d×%d",
-			exit.NumStates, exit.NumActions, r.exitAgent.Table.NumStates, r.exitAgent.Table.NumActions)
+			exit.NumStates, exit.NumActions, r.ep.ExitAgent.Table.NumStates, r.ep.ExitAgent.Table.NumActions)
 	}
-	if incr.NumStates != r.incrAgent.Table.NumStates || incr.NumActions != r.incrAgent.Table.NumActions {
+	if incr.NumStates != r.ep.IncrAgent.Table.NumStates || incr.NumActions != r.ep.IncrAgent.Table.NumActions {
 		return fmt.Errorf("core: incremental table is %d×%d, runtime expects %d×%d",
-			incr.NumStates, incr.NumActions, r.incrAgent.Table.NumStates, r.incrAgent.Table.NumActions)
+			incr.NumStates, incr.NumActions, r.ep.IncrAgent.Table.NumStates, r.ep.IncrAgent.Table.NumActions)
 	}
-	r.exitAgent.Table = exit
-	r.incrAgent.Table = incr
+	r.ep.ExitAgent.Table = exit
+	r.ep.IncrAgent.Table = incr
 	return nil
 }

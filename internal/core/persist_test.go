@@ -34,9 +34,9 @@ func TestAgentPersistenceRoundTrip(t *testing.T) {
 	if err := rt2.LoadAgents(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < rt1.exitAgent.Table.NumStates; s++ {
-		for a := 0; a < rt1.exitAgent.Table.NumActions; a++ {
-			if rt1.exitAgent.Table.Q(s, a) != rt2.exitAgent.Table.Q(s, a) {
+	for s := 0; s < rt1.ExitAgent().Table.NumStates; s++ {
+		for a := 0; a < rt1.ExitAgent().Table.NumActions; a++ {
+			if rt1.ExitAgent().Table.Q(s, a) != rt2.ExitAgent().Table.Q(s, a) {
 				t.Fatal("restored exit table differs")
 			}
 		}

@@ -44,6 +44,17 @@ func (t *Trace) MeanPower() float64 {
 	return t.TotalEnergy() / float64(len(t.Power))
 }
 
+// Peak returns the maximum harvested power in mW (0 for an empty trace).
+func (t *Trace) Peak() float64 {
+	var peak float64
+	for _, p := range t.Power {
+		if p > peak {
+			peak = p
+		}
+	}
+	return peak
+}
+
 // At returns the harvesting power at second ti, clamping out-of-range
 // indices to zero.
 func (t *Trace) At(ti int) float64 {

@@ -42,6 +42,9 @@ type TraceSpec struct {
 
 // Build materializes the trace with the given seed.
 func (ts TraceSpec) Build(seed uint64) (*energy.Trace, error) {
+	if ts.Seconds < 0 {
+		return nil, fmt.Errorf("exper: trace %q has negative seconds", ts.Name)
+	}
 	switch ts.Kind {
 	case TraceSolar:
 		return energy.SyntheticSolarTrace(energy.SolarConfig{

@@ -75,6 +75,9 @@ func TestSpecValidation(t *testing.T) {
 		{Populations: []PopulationSpec{{Count: 1, Churn: []ChurnSpec{{Kind: "meteor", Prob: 0.1}}}}},
 		{Populations: []PopulationSpec{{Count: 1, Churn: []ChurnSpec{{Kind: ChurnLeave, Prob: 1.5}}}}},
 		{Epochs: -1, Populations: []PopulationSpec{{Count: 1}}},
+		{Populations: []PopulationSpec{{Count: 2000, TraceVariants: maxTraceVariants + 1}}},
+		{Populations: []PopulationSpec{{Count: 1, EnergyBins: -1}}},
+		{Populations: []PopulationSpec{{Count: 1, Trace: exper.TraceSpec{Kind: exper.TraceSolar, Seconds: -5}}}},
 	}
 	for i := range bad {
 		if _, err := bad[i].Fleet(); err == nil {

@@ -155,3 +155,30 @@ func TestFleetMatchesRuntime(t *testing.T) {
 		})
 	}
 }
+
+// TestRunEpisodeAllocs holds the fleet's innermost loop to zero heap
+// allocations once a worker is warm. The //ehlint:hotpath lint checks
+// each function body on its own; this catches what it cannot see, such
+// as an argument to the core kernel escaping to the heap.
+func TestRunEpisodeAllocs(t *testing.T) {
+	s := &Spec{BaseSeed: 5, Epochs: 2, Events: 40, Populations: []PopulationSpec{{Count: 4, TraceVariants: 2}}}
+	f, err := s.Fleet()
+	if err != nil {
+		t.Fatalf("Fleet: %v", err)
+	}
+	p := f.Pops[0]
+	a := newArena(f, p, 1)
+	w := worker{f: f}
+	w.runChunk(job{p: p, a: a, lo: 0, hi: p.Count, epoch: 0})
+	di := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		w.runEpisode(p, a, di, uint64(p.Start+di), 1)
+		di = (di + 1) % p.Count
+	})
+	if allocs != 0 {
+		t.Fatalf("runEpisode allocates %v times per episode, want 0", allocs)
+	}
+	if a.processed[0] == 0 {
+		t.Fatal("episodes processed nothing")
+	}
+}

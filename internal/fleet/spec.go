@@ -1,12 +1,13 @@
 // Package fleet simulates large populations of intermittently powered
 // devices — 10⁴ to 10⁶ of them — as one first-class workload. Each
 // simulated device runs the paper's full online loop (event-driven exit
-// selection, incremental refinement, tabular Q-learning) against the
-// intermittent engine, but where core.Runtime carries one device's state
-// in a heap of small objects, the fleet engine keeps every device's RL
-// policy state, RNG stream, and interval counters in packed per-
-// population arenas and shards the devices across workers. The episode
-// step loop is allocation-free in the steady state (`//ehlint:hotpath`),
+// selection, incremental refinement, tabular Q-learning) through
+// core.Kernel, the same §IV decision step core.Runtime runs for one
+// device. What the fleet adds is storage and scheduling: it keeps every
+// device's RL policy state, RNG stream, and interval counters in packed
+// per-population arenas, binds them into the kernel one device at a
+// time, and shards the devices across workers. The episode loop is
+// allocation-free in the steady state (`//ehlint:hotpath`),
 // populations share one read-only compiled deployment (and, in
 // empirical mode, one compiled inference plan), and a population's
 // energy traces come from a small pool of seed-jittered variants rather
@@ -32,7 +33,6 @@ import (
 	"repro/internal/exper"
 	"repro/internal/mcu"
 	"repro/internal/plan"
-	"repro/internal/qlearn"
 )
 
 // Fleet-wide defaults; population-level knobs default to the paper's §V
@@ -45,12 +45,15 @@ const (
 	defaultTraceSeconds  = 3600
 	defaultTracePeakMW   = 0.032
 	defaultSamples       = 128
-	// confThreshold is core's static incremental-inference threshold.
-	confThreshold = 0.65
 	// maxDevices bounds a submitted fleet: the arena for a million
 	// default-binned devices is ~3 GB, and anything past this is a spec
 	// error, not a workload.
 	maxDevices = 4_000_000
+	// maxTraceVariants bounds a population's trace pool: each variant is
+	// a materialized trace (about 33 KB and 0.25 ms to build for the
+	// default hour-long solar trace), so the pool, unlike the arena,
+	// must not scale with the device count.
+	maxTraceVariants = 1024
 )
 
 // Stream salts separating the fleet's seed-derived stream families from
@@ -117,8 +120,8 @@ type PopulationSpec struct {
 	// 0.032 mW solar trace). Each device draws one of TraceVariants
 	// seed-jittered instances of it.
 	Trace exper.TraceSpec `json:"trace,omitempty"`
-	// TraceVariants sizes the per-population trace pool (default 16,
-	// clamped to Count).
+	// TraceVariants sizes the per-population trace pool (default 16, at
+	// most 1024, clamped to Count).
 	TraceVariants int `json:"traceVariants,omitempty"`
 	// Storage is the capacitor template (zero value: the paper's 6 mJ
 	// capacitor).
@@ -332,6 +335,9 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 		Empirical:  ps.Empirical,
 		Churn:      ps.Churn,
 	}
+	if p.EnergyBins < 1 || p.PowerBins < 1 || p.ConfBins < 1 {
+		return nil, fmt.Errorf("fleet: population %q has non-positive Q-state bins", name)
+	}
 	switch p.Mode {
 	case core.PolicyQLearning, core.PolicyStaticLUT:
 	default:
@@ -351,18 +357,10 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 		}
 	}
 
-	// Per-exit energy tables, computed once per population (the step
-	// loop's replacements for engine.EnergyFor calls).
-	m := len(deployed.ExitFLOPs)
-	p.Costs = make([]float64, m)
-	for i, fl := range deployed.ExitFLOPs {
-		p.Costs[i] = device.ComputeEnergyMJ(fl)
-	}
-	p.MargCosts = make([]float64, m)
-	for i := 0; i+1 < m; i++ {
-		p.MargCosts[i] = device.ComputeEnergyMJ(deployed.Marginal[i][i+1])
-	}
-	p.Static = qlearn.NewStaticLUT(p.Costs, confThreshold)
+	// The decision kernel and its per-exit energy tables are built once
+	// per population and shared read-only by every shard.
+	p.Kernel = core.NewKernel(deployed, core.RuntimeConfig{Mode: p.Mode, Device: device, Storage: &storage})
+	m := p.Kernel.NumExits()
 	p.exitStride = p.EnergyBins * p.PowerBins * m
 	p.incrStride = p.ConfBins * p.EnergyBins * 2
 
@@ -388,6 +386,9 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 	if variants < 1 {
 		return nil, fmt.Errorf("fleet: population %q has non-positive traceVariants", name)
 	}
+	if variants > maxTraceVariants {
+		return nil, fmt.Errorf("fleet: population %q asks for %d trace variants, more than %d", name, variants, maxTraceVariants)
+	}
 	if variants > p.Count {
 		variants = p.Count
 	}
@@ -402,7 +403,7 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 			return nil, fmt.Errorf("fleet: population %q trace %q is empty", name, ts.Name)
 		}
 		p.Traces[v] = tr
-		p.TracePeaks[v] = tracePeak(tr)
+		p.TracePeaks[v] = tr.Peak()
 	}
 	return p, nil
 }
@@ -419,17 +420,6 @@ func defaultIntOr(v, d int) int {
 		return d
 	}
 	return v
-}
-
-// tracePeak returns the trace's maximum power for Q-state binning.
-func tracePeak(t *energy.Trace) float64 {
-	var peak float64
-	for _, p := range t.Power {
-		if p > peak {
-			peak = p
-		}
-	}
-	return peak
 }
 
 // Fleet is a compiled, runnable fleet: shared read-only deployments and
@@ -484,7 +474,9 @@ type Population struct {
 	Plan    *plan.Plan
 	Storage energy.Storage
 	Mode    core.PolicyMode
-	Static  *qlearn.StaticLUT
+	// Kernel is the population's §IV decision step; each worker runs
+	// its devices through it.
+	Kernel *core.Kernel
 
 	Alpha, Gamma, Epsilon           float64
 	EnergyBins, PowerBins, ConfBins int
@@ -493,10 +485,6 @@ type Population struct {
 
 	Traces     []*energy.Trace
 	TracePeaks []float64
-	// Costs[i] is the energy (mJ) of an inference to exit i on Device;
-	// MargCosts[i] the cost of resuming from exit i to i+1.
-	Costs     []float64
-	MargCosts []float64
 
 	exitStride, incrStride int
 }

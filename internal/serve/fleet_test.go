@@ -194,6 +194,7 @@ func TestServeFleetBadSpecs(t *testing.T) {
 		`{"populations": []}`,
 		`{"populations": [{"name": "x", "count": 0}]}`,
 		`{"populations": [{"name": "x", "count": 1, "device": "nope"}]}`,
+		`{"populations": [{"name": "x", "count": 4000000, "traceVariants": 4000000}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/fleets", "application/json", strings.NewReader(body))
 		if err != nil {
